@@ -160,7 +160,7 @@ class InferenceModel {
   // weights route through quant::qmatmul_bt — the int8/int4 payloads are
   // consumed directly, no dequantized fp32 matrix in the product. The
   // Reference tier always reads w.values() so campaign numerics stay on
-  // the naive oracle loop.
+  // the oracle's sequential dot chains.
   tn::Tensor project(const nn::WeightMatrix& w, const tn::Tensor& x) const;
   // project() with the tensor-parallel split applied by layer kind:
   // OProj/DownProj go through the segmented row-parallel product (which

@@ -80,7 +80,9 @@ struct Server::Conn {
 };
 
 Server::Server(ServerConfig cfg, Backend backend)
-    : cfg_(std::move(cfg)), backend_(std::move(backend)) {}
+    : cfg_(std::move(cfg)),
+      backend_(std::move(backend)),
+      max_prompt_tokens_(backend_.sched.max_prompt_tokens()) {}
 
 Server::~Server() { stop(); }
 
@@ -575,6 +577,15 @@ void Server::route(Conn& c, const HttpRequest& req) {
                     make_response(400, "application/json",
                                   error_body("need prompt or prompt_ids"),
                                   ka));
+      } else if (static_cast<tn::Index>(prompt.size()) > max_prompt_tokens_) {
+        // The admission prefill could not fit it in the KV cache.
+        stats_.bad_requests.fetch_add(1);
+        std::string msg = "prompt has ";
+        msg += std::to_string(prompt.size());
+        msg += " tokens; the limit is max_seq = ";
+        msg += std::to_string(max_prompt_tokens_);
+        queue_write(c, make_response(400, "application/json",
+                                     error_body(msg), ka));
       } else {
         int max_new = backend_.default_max_new_tokens;
         if (const auto m = json_int_field(req.body, "max_new_tokens")) {

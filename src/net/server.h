@@ -182,6 +182,9 @@ class Server {
 
   ServerConfig cfg_;
   Backend backend_;
+  // Read from the scheduler before the engine thread owns it, so the io
+  // thread can reject over-long prompts (400) without touching it.
+  tn::Index max_prompt_tokens_ = 0;
   ServerStats stats_;
 
   int listen_fd_ = -1;

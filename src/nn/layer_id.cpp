@@ -20,9 +20,15 @@ std::string_view layer_kind_name(LayerKind k) {
 }
 
 std::string to_string(const LinearId& id) {
-  std::string s = "block" + std::to_string(id.block) + "." +
-                  std::string(layer_kind_name(id.kind));
-  if (id.expert >= 0) s += "[" + std::to_string(id.expert) + "]";
+  std::string s = "block";
+  s += std::to_string(id.block);
+  s += '.';
+  s += layer_kind_name(id.kind);
+  if (id.expert >= 0) {
+    s += '[';
+    s += std::to_string(id.expert);
+    s += ']';
+  }
   return s;
 }
 

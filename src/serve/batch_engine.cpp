@@ -47,18 +47,33 @@ BatchEngine::BatchEngine(model::InferenceModel& m, int max_batch,
   }
 }
 
-bool BatchEngine::can_admit(const Request& req) const {
-  if (active_ >= capacity()) return false;
-  if (!pool_) return true;
+tn::Index BatchEngine::max_prompt_tokens() const {
+  return slots_.front().cache.max_seq();
+}
+
+tn::Index BatchEngine::worst_case_pages(const Request& req) const {
   const nn::KvCache& probe = slots_.front().cache;
   const tn::Index worst_len = std::min<tn::Index>(
       probe.max_seq(), static_cast<tn::Index>(req.prompt.size()) +
                            static_cast<tn::Index>(std::max(req.max_new_tokens,
                                                            0)));
-  const tn::Index need =
-      static_cast<tn::Index>(probe.n_blocks()) *
-      nn::PagePool::pages_for(worst_len, pool_->page_rows());
-  return need <= static_cast<tn::Index>(pool_->free_pages());
+  return static_cast<tn::Index>(probe.n_blocks()) *
+         nn::PagePool::pages_for(worst_len, pool_->page_rows());
+}
+
+bool BatchEngine::can_admit(const Request& req) const {
+  if (active_ >= capacity()) return false;
+  if (!pool_) return true;
+  // Active rows keep drawing pages as they decode, so the free pages
+  // they may still claim (worst case minus what they hold) are spoken for.
+  tn::Index reserved = 0;
+  for (const Slot& s : slots_) {
+    if (!s.active) continue;
+    reserved += std::max<tn::Index>(
+        0, worst_case_pages(s.req) - s.cache.pages_held());
+  }
+  return worst_case_pages(req) + reserved <=
+         static_cast<tn::Index>(pool_->free_pages());
 }
 
 void BatchEngine::retire(Slot& slot, bool hit_max,

@@ -105,13 +105,19 @@ class BatchEngine {
   int active() const { return active_; }
 
   // True when admitting `req` now cannot exhaust the page pool: a free
-  // slot exists and the pool holds the request's worst-case page count
-  // (every block paged out to min(max_seq, prompt + max_new_tokens)
-  // rows). Deliberately conservative — prefix forks that would alias
-  // most of those pages still reserve the full count — so a true return
-  // is a guarantee, not an estimate. Always true on a free slot for
+  // slot exists and the free pages cover the request's worst-case page
+  // count (every block paged out to min(max_seq, prompt +
+  // max_new_tokens) rows) on top of what every active row may still
+  // claim as it decodes (its worst case minus the pages it holds).
+  // Deliberately conservative — prefix forks that would alias most of
+  // those pages still reserve the full count — so a true return is a
+  // guarantee, not an estimate. Always true on a free slot for
   // contiguous (non-pooled) engines.
   bool can_admit(const Request& req) const;
+
+  // Longest prompt a slot's KV cache can hold (its max_seq); admitting a
+  // longer one throws from the prefill's KvCache::append.
+  tn::Index max_prompt_tokens() const;
 
   // Admits one request into a free slot (throws std::runtime_error when
   // full) and runs its admission pass — prefill pass 0, or the forked
@@ -164,6 +170,9 @@ class BatchEngine {
   bool accept_or_retire(Slot& slot, std::vector<Completion>& done);
   void retire(Slot& slot, bool hit_max, std::vector<Completion>& done,
               bool cancelled = false);
+  // Pages `req` holds once every block is paged out to min(max_seq,
+  // prompt + max_new_tokens) rows. Paged engines only.
+  tn::Index worst_case_pages(const Request& req) const;
 
   model::InferenceModel& model_;
   std::shared_ptr<nn::PagePool> pool_;  // null for contiguous slots

@@ -88,6 +88,7 @@ class Scheduler {
   bool idle() const { return queue_.empty() && engine_.active() == 0; }
   std::size_t queued() const { return queue_.size(); }
   int active() const { return engine_.active(); }
+  tn::Index max_prompt_tokens() const { return engine_.max_prompt_tokens(); }
 
   const SchedulerStats& stats() const { return stats_; }
   const EngineStats& engine_stats() const { return engine_.stats(); }

@@ -1,5 +1,6 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -156,18 +157,123 @@ void gemm_bt_portable(const float* pa, Index m, Index k, const float* pb,
   }
 }
 
+namespace {
+
+// Four adjacent output columns of one A row: lane u holds column j + u.
+// GCC generic vectors, so the SIMD width comes from the type and the
+// build needs no intrinsics and no runtime dispatch.
+typedef float Vec4 __attribute__((vector_size(16)));
+typedef int Vec4i __attribute__((vector_size(16)));
+
+// Elements l..l+3 of the four B rows at b, b + ldb, b + 2 ldb, b + 3 ldb,
+// transposed in registers: lane u of out[t] is row u's element l + t.
+inline void load_b_transposed(const float* b, Index ldb, Index l,
+                              Vec4 out[4]) {
+  Vec4 r0, r1, r2, r3;
+  std::memcpy(&r0, b + l, sizeof(Vec4));
+  std::memcpy(&r1, b + ldb + l, sizeof(Vec4));
+  std::memcpy(&r2, b + 2 * ldb + l, sizeof(Vec4));
+  std::memcpy(&r3, b + 3 * ldb + l, sizeof(Vec4));
+  const Vec4 t0 = __builtin_shuffle(r0, r1, Vec4i{0, 4, 1, 5});
+  const Vec4 t1 = __builtin_shuffle(r0, r1, Vec4i{2, 6, 3, 7});
+  const Vec4 t2 = __builtin_shuffle(r2, r3, Vec4i{0, 4, 1, 5});
+  const Vec4 t3 = __builtin_shuffle(r2, r3, Vec4i{2, 6, 3, 7});
+  out[0] = __builtin_shuffle(t0, t2, Vec4i{0, 1, 4, 5});
+  out[1] = __builtin_shuffle(t0, t2, Vec4i{2, 3, 6, 7});
+  out[2] = __builtin_shuffle(t1, t3, Vec4i{0, 1, 4, 5});
+  out[3] = __builtin_shuffle(t1, t3, Vec4i{2, 3, 6, 7});
+}
+
+// Output columns j..j + 4 NV - 1 of MR A rows. Every output element is
+// still the single sequential chain `acc = acc + a[l] * b[l]` over
+// l = k0..k1-1 from 0.0f: a lane only ever adds its own column's
+// products, in l order, with the multiply and the add rounded separately
+// (llmfi_tensor builds with -ffp-contract=off, so no FMA is formed).
+// Blocking only runs MR x 4 NV of those chains side by side, which hides
+// the add latency the one-chain loop stalls on. B rows are read in place
+// at stride ldb, four elements at a time: no packed copy, so corrupted
+// weight storage is what the products see.
+template <int MR, int NV>
+void gemm_bt_reference_block(const float* pa, Index lda, Index k0, Index k1,
+                             const float* pb, Index ldb, float* pc,
+                             Index ldc) {
+  Vec4 acc[MR][NV] = {};
+  Index l = k0;
+  for (; l + 4 <= k1; l += 4) {
+    Vec4 bt[NV][4];
+    for (int v = 0; v < NV; ++v) {
+      load_b_transposed(pb + 4 * v * ldb, ldb, l, bt[v]);
+    }
+    for (int r = 0; r < MR; ++r) {
+      const float* a = pa + r * lda + l;
+      for (int t = 0; t < 4; ++t) {
+        for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + a[t] * bt[v][t];
+      }
+    }
+  }
+  for (; l < k1; ++l) {
+    for (int v = 0; v < NV; ++v) {
+      const float* b = pb + 4 * v * ldb;
+      const Vec4 bv = {b[l], b[ldb + l], b[2 * ldb + l], b[3 * ldb + l]};
+      for (int r = 0; r < MR; ++r) {
+        acc[r][v] = acc[r][v] + pa[r * lda + l] * bv;
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    std::memcpy(pc + r * ldc, acc[r], sizeof(acc[r]));
+  }
+}
+
+// Columns [j0, j1) of MR A rows: 8-column blocks, one 4-column block,
+// then the n % 4 tail as the scalar chain itself.
+template <int MR>
+void gemm_bt_reference_rows(const float* pa, Index lda, Index k0, Index k1,
+                            const float* pb, Index ldb, Index j0, Index j1,
+                            float* pc, Index ldc) {
+  Index j = j0;
+  for (; j + 8 <= j1; j += 8) {
+    gemm_bt_reference_block<MR, 2>(pa, lda, k0, k1, pb + j * ldb, ldb, pc + j,
+                                   ldc);
+  }
+  if (j + 4 <= j1) {
+    gemm_bt_reference_block<MR, 1>(pa, lda, k0, k1, pb + j * ldb, ldb, pc + j,
+                                   ldc);
+    j += 4;
+  }
+  for (; j < j1; ++j) {
+    const float* brow = pb + j * ldb;
+    for (int r = 0; r < MR; ++r) {
+      const float* arow = pa + r * lda;
+      float acc = 0.0f;
+      for (Index l = k0; l < k1; ++l) acc += arow[l] * brow[l];
+      pc[r * ldc + j] = acc;
+    }
+  }
+}
+
+}  // namespace
+
 __attribute__((noinline)) void gemm_bt_reference_range(
     const float* pa, Index m, Index lda, Index k0, Index k1, const float* pb,
     Index ldb, Index j0, Index j1, float* pc, Index ldc) {
-  for (Index i = 0; i < m; ++i) {
-    const float* arow = pa + i * lda;
-    float* crow = pc + i * ldc;
-    for (Index j = j0; j < j1; ++j) {
-      const float* brow = pb + j * ldb;
-      float acc = 0.0f;
-      for (Index l = k0; l < k1; ++l) acc += arow[l] * brow[l];
-      crow[j] = acc;
-    }
+  Index i = 0;
+  for (; i + 4 <= m; i += 4) {
+    gemm_bt_reference_rows<4>(pa + i * lda, lda, k0, k1, pb, ldb, j0, j1,
+                              pc + i * ldc, ldc);
+  }
+  const float* a = pa + i * lda;
+  float* c = pc + i * ldc;
+  switch (m - i) {
+    case 3:
+      gemm_bt_reference_rows<3>(a, lda, k0, k1, pb, ldb, j0, j1, c, ldc);
+      break;
+    case 2:
+      gemm_bt_reference_rows<2>(a, lda, k0, k1, pb, ldb, j0, j1, c, ldc);
+      break;
+    case 1:
+      gemm_bt_reference_rows<1>(a, lda, k0, k1, pb, ldb, j0, j1, c, ldc);
+      break;
   }
 }
 
@@ -340,39 +446,45 @@ std::vector<Tensor> fused_rmsnorm_matmul_bt(const Tensor& x,
     ys.emplace_back(std::vector<Index>{m, w->rows()});
   }
 
-  // One normalized row at a time, feeding every projection while the row
-  // is hot. The normalization replicates rmsnorm_rows float-for-float
-  // (sequential ss accumulation, in[j] * inv * gain[j]) so the fusion is
-  // bit-identical to the unfused pair at any tier — including the IEEE
-  // corruption semantics (inf input -> ss inf -> NaN out; huge finite
-  // input -> collapse toward 0) the fault studies rely on.
-  std::vector<float> h(static_cast<size_t>(k));
-  for (Index i = 0; i < m; ++i) {
-    auto in = x.row(i);
-    float ss = 0.0f;
-    for (float v : in) ss += v * v;
-    const float rms = std::sqrt(ss / static_cast<float>(k) + eps);
-    const float inv = 1.0f / rms;
-    for (Index j = 0; j < k; ++j) {
-      h[static_cast<size_t>(j)] = in[static_cast<size_t>(j)] * inv * gain[j];
+  // Up to four normalized rows at a time, feeding every projection while
+  // they are hot (four rows is the Reference kernel's row block). The
+  // normalization replicates rmsnorm_rows float-for-float (sequential ss
+  // accumulation, in[j] * inv * gain[j]) so the fusion is bit-identical
+  // to the unfused pair at any tier — including the IEEE corruption
+  // semantics (inf input -> ss inf -> NaN out; huge finite input ->
+  // collapse toward 0) the fault studies rely on.
+  constexpr Index kRows = 4;
+  std::vector<float> h(static_cast<size_t>(kRows * k));
+  for (Index i0 = 0; i0 < m; i0 += kRows) {
+    const Index rows = std::min(kRows, m - i0);
+    for (Index r = 0; r < rows; ++r) {
+      auto in = x.row(i0 + r);
+      float ss = 0.0f;
+      for (float v : in) ss += v * v;
+      const float rms = std::sqrt(ss / static_cast<float>(k) + eps);
+      const float inv = 1.0f / rms;
+      float* hrow = h.data() + r * k;
+      for (Index j = 0; j < k; ++j) {
+        hrow[j] = in[static_cast<size_t>(j)] * inv * gain[j];
+      }
     }
     for (size_t wi = 0; wi < ws.size(); ++wi) {
       const Tensor& w = *ws[wi];
       const Index n = w.rows();
-      float* crow = ys[wi].data() + i * n;
+      float* c = ys[wi].data() + i0 * n;
       switch (tier) {
         case KernelTier::Reference:
-          // The naive dot loop of matmul_bt_reference, row-at-a-time —
-          // the same out-of-line body, so the fused/unfused/sharded
-          // Reference paths share one codegen of the reduction loop.
-          detail::gemm_bt_reference_range(h.data(), 1, k, 0, k, w.data(), k, 0,
-                                          n, crow, n);
+          // The same out-of-line body as matmul_bt_reference, so the
+          // fused/unfused/sharded Reference paths share one codegen of
+          // the reduction loop.
+          detail::gemm_bt_reference_range(h.data(), rows, k, 0, k, w.data(), k,
+                                          0, n, c, n);
           break;
         case KernelTier::Portable:
-          detail::gemm_bt_portable(h.data(), 1, k, w.data(), n, crow);
+          detail::gemm_bt_portable(h.data(), rows, k, w.data(), n, c);
           break;
         case KernelTier::Avx2:
-          detail::gemm_bt_avx2(h.data(), 1, k, w.data(), n, crow);
+          detail::gemm_bt_avx2(h.data(), rows, k, w.data(), n, c);
           break;
       }
     }

@@ -3,9 +3,14 @@
 //
 // Three tiers compute the Linear-layer product C = A @ B^T:
 //
-//   Reference — the naive dot-product loop in ops.cpp. Fixed sequential
-//               reduction order; the oracle every fault-injection
-//               campaign runs on and every fast tier is gated against.
+//   Reference — one sequential dot-product chain per output element
+//               (acc = acc + a[l] * b[l], l ascending, from 0.0f); the
+//               oracle every fault-injection campaign runs on and every
+//               fast tier is gated against. Register-blocked (up to 4 A
+//               rows x 8 columns in GCC generic vectors, one lane per
+//               column) without touching any chain's arithmetic, and
+//               built with -ffp-contract=off, so it is bit-identical to
+//               the scalar loop on every build.
 //   Portable  — register-blocked (4 B-rows x 8 source-level lanes)
 //               C++ a vectorizing compiler turns into SIMD without any
 //               target-specific intrinsics.
@@ -82,8 +87,9 @@ Tensor matmul_bt_tier(const Tensor& a, const Tensor& b, KernelTier tier);
 // Fused RMSNorm + input projections: ys[w] = rmsnorm(x, gain, eps) @
 // ws[w]^T without materializing the normalized activation tensor. Each
 // row is normalized once (identical float ops to rmsnorm_rows) into a
-// scratch row that feeds every weight matrix while hot in cache — the
-// block input-projection shape (norm1 -> wq/wk/wv, norm2 -> gate/up).
+// scratch block of up to 4 rows that feeds every weight matrix while hot
+// in cache — the block input-projection shape (norm1 -> wq/wk/wv,
+// norm2 -> gate/up).
 // Bit-identical to rmsnorm_rows followed by matmul_bt_tier at the same
 // tier, which is exactly what the fusion gate asserts.
 std::vector<Tensor> fused_rmsnorm_matmul_bt(const Tensor& x,
@@ -152,11 +158,15 @@ void gemm_bt_portable(const float* a, Index m, Index k, const float* b,
 void gemm_bt_avx2(const float* a, Index m, Index k, const float* b, Index n,
                   float* c);
 
-// The Reference tier's naive sequential dot loop over an arbitrary
-// K-range [k0, k1) and B-row range [j0, j1), with explicit strides.
-// matmul_bt_reference, the fused Reference branch, and every sharded
-// Reference slice/partial all route through this one (noinline) body,
-// so the campaign oracle has exactly one codegen of its reduction loop.
+// The Reference tier's sequential dot chains over an arbitrary K-range
+// [k0, k1) and B-row range [j0, j1), with explicit strides. Each output
+// element is `acc = acc + a[l] * b[l]` for l = k0..k1-1 from 0.0f,
+// computed up to 4 rows x 8 columns at a time (the n % 4 column tail
+// scalar); B rows are read in place at stride ldb, never packed, so
+// corrupted weight storage stays visible. matmul_bt_reference (in 4-row blocks),
+// the fused Reference branch, and every sharded Reference slice/partial
+// all route through this one (noinline) body, so the campaign oracle
+// has exactly one codegen of its reduction loop.
 void gemm_bt_reference_range(const float* a, Index m, Index lda, Index k0,
                              Index k1, const float* b, Index ldb, Index j0,
                              Index j1, float* c, Index ldc);

@@ -84,15 +84,17 @@ Tensor matmul_bt_reference(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* pc = c.data();
   const bool parallel = m * n * k >= kParallelFlops;
-  // Rows go through the shared out-of-line reference kernel so this
-  // oracle, the fused Reference branch, and the tensor-parallel slices
-  // all run one codegen of the same sequential reduction loop
-  // (per-row results are scheduling-independent, so the OpenMP split
-  // never changes bits).
+  // 4-row blocks go through the shared out-of-line reference kernel so
+  // this oracle, the fused Reference branch, and the tensor-parallel
+  // slices all run one codegen of the same sequential reduction loop
+  // (per-element results are scheduling-independent, so neither the
+  // blocking nor the OpenMP split ever changes bits).
+  const Index blocks = (m + 3) / 4;
 #pragma omp parallel for schedule(static) if (parallel)
-  for (Index i = 0; i < m; ++i) {
-    detail::gemm_bt_reference_range(pa + i * k, 1, k, 0, k, pb, k, 0, n,
-                                    pc + i * n, n);
+  for (Index blk = 0; blk < blocks; ++blk) {
+    const Index i = blk * 4;
+    detail::gemm_bt_reference_range(pa + i * k, std::min<Index>(4, m - i), k,
+                                    0, k, pb, k, 0, n, pc + i * n, n);
   }
   return c;
 }

@@ -22,8 +22,10 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 // Reference tier is matmul_bt_reference below.
 Tensor matmul_bt(const Tensor& a, const Tensor& b);
 
-// The naive sequential-reduction dot loop: the oracle tier every fast
-// kernel is gated against ("fast ≡ reference", DESIGN.md §13).
+// One sequential-reduction dot chain per output element: the oracle
+// tier every fast kernel is gated against ("fast ≡ reference", DESIGN.md
+// §13). Runs the register-blocked detail::gemm_bt_reference_range in
+// 4-row blocks, bit-identical to the scalar loop.
 Tensor matmul_bt_reference(const Tensor& a, const Tensor& b);
 
 // C[n,k] = A[m,n]^T @ B[m,k]. Used by backward passes (dW = dY^T @ X).

@@ -73,7 +73,9 @@ TEST(Generate, RespectsMaxNewTokens) {
   cfg.max_new_tokens = 5;
   auto r = gen::generate(m, tokens({1, 4, 7}), cfg);
   EXPECT_LE(r.tokens.size(), 5u);
-  if (r.tokens.size() == 5u) EXPECT_TRUE(r.hit_max_tokens);
+  if (r.tokens.size() == 5u) {
+    EXPECT_TRUE(r.hit_max_tokens);
+  }
   EXPECT_GE(r.passes, 1);
   EXPECT_LE(r.passes, 5);
 }

@@ -1,8 +1,10 @@
 // Tests for the tiered GEMM kernel layer (DESIGN.md §13): tier
 // parsing/dispatch, the "fast ≡ reference" tolerance gate on every
 // dispatch path this host can execute, non-finite propagation (SIMD
-// reordering must never mask corruption), and bit-identity of the fused
-// RMSNorm+matmul entry point against its unfused pair.
+// reordering must never mask corruption), bit-identity of the fused
+// RMSNorm+matmul entry point against its unfused pair, and bit-identity
+// of the register-blocked Reference kernel against the scalar loop it
+// replaced (plus a golden hash of its outputs on the engine's shapes).
 //
 // CI runs this binary three times — LLMFI_KERNEL unset, =portable, and
 // =avx2 — so the env-knob test below pins the startup dispatch on both
@@ -11,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -60,7 +64,9 @@ TEST(KernelTier, NamesAndParseRoundTrip) {
 TEST(KernelTier, BestSupportedIsExecutable) {
   const KernelTier best = best_supported_tier();
   EXPECT_NE(best, KernelTier::Reference);
-  if (!cpu_supports_avx2()) EXPECT_EQ(best, KernelTier::Portable);
+  if (!cpu_supports_avx2()) {
+    EXPECT_EQ(best, KernelTier::Portable);
+  }
   // Must be settable without throwing.
   ScopedKernelTier pin(best);
   EXPECT_EQ(kernel_tier(), best);
@@ -193,6 +199,168 @@ TEST(FusedKernel, BitIdenticalToUnfusedPairAtEveryTier) {
           << kernel_tier_name(tier) << " weight " << w;
     }
   }
+}
+
+// The Reference kernel's defining loop, kept verbatim as the test oracle:
+// one sequential `acc += a * b` chain per output element, from 0.0f.
+void naive_reference_range(const float* pa, Index m, Index lda, Index k0,
+                           Index k1, const float* pb, Index ldb, Index j0,
+                           Index j1, float* pc, Index ldc) {
+  for (Index i = 0; i < m; ++i) {
+    const float* arow = pa + i * lda;
+    float* crow = pc + i * ldc;
+    for (Index j = j0; j < j1; ++j) {
+      const float* brow = pb + j * ldb;
+      float acc = 0.0f;
+      for (Index l = k0; l < k1; ++l) acc += arow[l] * brow[l];
+      crow[j] = acc;
+    }
+  }
+}
+
+// Bitwise equality, except that any NaN matches any NaN (the payload of a
+// NaN produced by inf - inf or NaN propagation is not part of the contract).
+bool same_bits_or_both_nan(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+// Values a memory or compute fault can leave in an operand.
+float special_value(num::Rng& rng) {
+  constexpr float kSpecials[] = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -3.5e-39f,  // denormal
+      3e38f,
+      -3e38f,
+  };
+  return kSpecials[rng.uniform_u64(std::size(kSpecials))];
+}
+
+void fill_operand(std::vector<float>& v, num::Rng& rng) {
+  for (float& x : v) {
+    x = rng.bernoulli(0.02) ? special_value(rng)
+                            : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+}
+
+TEST(KernelReference, BlockedMatchesNaiveLoopBitwise) {
+  // Every row-block tail (m 1-9), every column-block tail (n 1-37 covers
+  // each n % 8) and ragged k-ranges (each k % 4), with padded strides so
+  // an out-of-range read or write shows. C starts as a sentinel pattern: elements outside [j0, j1)
+  // must come back untouched.
+  num::Rng rng(2024);
+  Index checked = 0, mismatches = 0;
+  for (Index m = 1; m <= 9; ++m) {
+    for (Index n = 1; n <= 37; ++n) {
+      const Index k = static_cast<Index>(rng.uniform_int(1, 100));
+      const Index lda = k + static_cast<Index>(rng.uniform_int(0, 3));
+      const Index ldb = k + static_cast<Index>(rng.uniform_int(0, 3));
+      const Index ldc = n + static_cast<Index>(rng.uniform_int(0, 3));
+      Index k0 = 0, k1 = k, j0 = 0, j1 = n;
+      if (rng.bernoulli(0.5)) {
+        k0 = static_cast<Index>(rng.uniform_int(0, k - 1));
+        k1 = static_cast<Index>(rng.uniform_int(k0 + 1, k));
+      }
+      if (rng.bernoulli(0.5)) {
+        j0 = static_cast<Index>(rng.uniform_int(0, n - 1));
+        j1 = static_cast<Index>(rng.uniform_int(j0 + 1, n));
+      }
+      std::vector<float> a(static_cast<size_t>(m * lda));
+      std::vector<float> b(static_cast<size_t>(n * ldb));
+      fill_operand(a, rng);
+      fill_operand(b, rng);
+      std::vector<float> want(static_cast<size_t>(m * ldc));
+      for (size_t e = 0; e < want.size(); ++e) {
+        want[e] = static_cast<float>(e) + 0.25f;
+      }
+      std::vector<float> got = want;
+      naive_reference_range(a.data(), m, lda, k0, k1, b.data(), ldb, j0, j1,
+                            want.data(), ldc);
+      detail::gemm_bt_reference_range(a.data(), m, lda, k0, k1, b.data(), ldb,
+                                      j0, j1, got.data(), ldc);
+      for (size_t e = 0; e < want.size(); ++e) {
+        ++checked;
+        if (!same_bits_or_both_nan(want[e], got[e])) {
+          ++mismatches;
+          ADD_FAILURE() << "m=" << m << " n=" << n << " k=" << k << " [" << k0
+                        << "," << k1 << ") x [" << j0 << "," << j1
+                        << ") element " << e << ": want " << want[e]
+                        << " got " << got[e];
+        }
+      }
+      // The public Reference entry points reach the same body.
+      if (lda == k && ldb == k && ldc == n && k0 == 0 && k1 == k && j0 == 0 &&
+          j1 == n) {
+        Tensor ta({m, k}), tb({n, k});
+        std::memcpy(ta.data(), a.data(), sizeof(float) * a.size());
+        std::memcpy(tb.data(), b.data(), sizeof(float) * b.size());
+        const Tensor c = matmul_bt_reference(ta, tb);
+        for (Index e = 0; e < m * n; ++e) {
+          EXPECT_TRUE(same_bits_or_both_nan(c.data()[e], want[e]))
+              << "matmul_bt_reference m=" << m << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << checked << " elements";
+}
+
+TEST(KernelReference, KrangeAndColsEntryPointsMatchNaiveLoop) {
+  num::Rng rng(77);
+  const Index m = 6, k = 53, n = 23;
+  std::vector<float> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(n * k));
+  fill_operand(a, rng);
+  fill_operand(b, rng);
+  std::vector<float> want(static_cast<size_t>(m * n), 0.0f), got = want;
+  naive_reference_range(a.data(), m, k, 9, 41, b.data(), k, 0, n, want.data(),
+                        n);
+  matmul_bt_krange(a.data(), m, k, 9, 41, b.data(), k, n, got.data(), n,
+                   KernelTier::Reference);
+  for (size_t e = 0; e < want.size(); ++e) {
+    EXPECT_TRUE(same_bits_or_both_nan(want[e], got[e])) << "krange " << e;
+  }
+  naive_reference_range(a.data(), m, k, 0, k, b.data(), k, 5, 18, want.data(),
+                        n);
+  matmul_bt_cols(a.data(), m, k, b.data(), 5, 18, got.data(), n,
+                 KernelTier::Reference);
+  for (size_t e = 0; e < want.size(); ++e) {
+    EXPECT_TRUE(same_bits_or_both_nan(want[e], got[e])) << "cols " << e;
+  }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(KernelReference, GoldenHash) {
+  // Reference outputs on the engine's projection shapes (d_model 48,
+  // d_ff 96, a ragged vocab) at decode (m 1, 4) and prefill (m 128)
+  // batch sizes. The hash was recorded from the original scalar dot
+  // loop: any change to the Reference reduction order shows here.
+  constexpr Index kVocab = 203;
+  const struct {
+    Index n, k;
+  } shapes[] = {{48, 48}, {96, 48}, {48, 96}, {kVocab, 48}};
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t seed = 100;
+  for (const auto& s : shapes) {
+    const Tensor w = random_matrix(s.n, s.k, ++seed);
+    for (Index m : {1, 4, 128}) {
+      const Tensor x = random_matrix(m, s.k, ++seed);
+      const Tensor y = matmul_bt_reference(x, w);
+      h = fnv1a(h, y.data(), sizeof(float) * static_cast<size_t>(y.numel()));
+    }
+  }
+  EXPECT_EQ(h, 0x6276e97c9cd753eaull);
 }
 
 TEST(FusedKernel, ValidatesShapes) {

@@ -349,6 +349,51 @@ TEST(NetLoopback, DisconnectCancelsInFlightAndFreesKvPages) {
   EXPECT_EQ(pool->free_pages(), total_pages);
 }
 
+TEST(NetLoopback, PromptLongerThanMaxSeqIsRejectedAndServerSurvives) {
+  // A prompt the KV cache cannot hold used to reach the admission
+  // prefill, throw from KvCache::append on the engine thread and
+  // terminate the process.
+  model::InferenceModel m(model::ModelWeights::init(tiny_config(160)), {});
+  const tok::Vocab vocab = tiny_vocab();
+  auto pool = std::make_shared<nn::PagePool>(
+      64, nn::PagePool::kDefaultPageRows, tiny_config().d_model);
+  const int total_pages = pool->free_pages();
+  serve::BatchEngine engine(m, 2, pool);
+  serve::Scheduler sched(engine);
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.max_new_tokens = 4;
+  net::Server server(scfg, {sched, vocab, 4, {}, {}});
+  server.start();
+
+  net::HttpClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  const std::vector<tok::TokenId> too_long(161, 5);
+  const auto resp = client.request("POST", "/v1/completions",
+                                   "application/json", ids_body(too_long, 4));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 400);
+  EXPECT_NE(resp->body.find("161"), std::string::npos) << resp->body;
+  EXPECT_NE(resp->body.find("160"), std::string::npos) << resp->body;
+
+  const auto health = client.request("GET", "/healthz", "", "");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, 200);
+  EXPECT_NE(health->body.find("\"status\":\"ok\""), std::string::npos);
+  // A prompt at the limit is still served.
+  const std::vector<tok::TokenId> at_limit(160, 5);
+  gen::GenerationConfig gcfg;
+  gcfg.max_new_tokens = 4;
+  gcfg.eos = vocab.eos();
+  EXPECT_EQ(stream_ids(client, at_limit, 4),
+            gen::generate(m, at_limit, gcfg).tokens);
+
+  server.request_drain();
+  server.wait();
+  EXPECT_EQ(server.stats().bad_requests.load(), 1u);
+  EXPECT_EQ(pool->free_pages(), total_pages);
+}
+
 // --- observability endpoints (DESIGN.md §16) ------------------------------
 
 // Streams one completion and returns the server-assigned request id

@@ -648,6 +648,47 @@ TEST(SchedulerLifecycle, CancelQueuedAndActiveReleasesPagesImmediately) {
   EXPECT_EQ(done_ids.size(), 4u);
 }
 
+TEST(SchedulerLifecycle, TightPoolReservesDecodeGrowthOfActiveRows) {
+  // Long prompts ending on page boundaries, so each row's first decode
+  // step draws a fresh page per block. Admission used to check only the
+  // newcomer's worst case against the free pages: on this 48-page pool
+  // it admitted the 112- and 128-token prompts together (21 + 24 pages
+  // held, 3 free) and the second row's first decode exhausted the pool
+  // mid-step.
+  model::ModelConfig cfg = tiny_config();
+  cfg.n_layers = 3;
+  cfg.max_seq = 160;
+  model::InferenceModel m(model::ModelWeights::init(cfg), {});
+  auto pool = std::make_shared<nn::PagePool>(
+      48, nn::PagePool::kDefaultPageRows, cfg.d_model);
+  const int total_pages = pool->free_pages();
+  serve::BatchEngine engine(m, 4, pool);
+  serve::Scheduler sched(engine);
+  const int lens[] = {112, 128, 104, 136};
+  for (int i = 0; i < 4; ++i) {
+    serve::Request r;
+    r.id = static_cast<std::uint64_t>(i);
+    for (int t = 0; t < lens[i]; ++t) {
+      r.prompt.push_back(static_cast<tok::TokenId>(1 + (t * 7 + i) % 23));
+    }
+    r.max_new_tokens = 8;
+    r.eos = 1000;
+    sched.submit(std::move(r));
+  }
+  std::vector<serve::Completion> out;
+  ASSERT_NO_THROW({
+    while (sched.tick(out)) {
+    }
+  });
+  ASSERT_EQ(out.size(), 4u);
+  for (const auto& c : out) {
+    EXPECT_FALSE(c.cancelled);
+    EXPECT_EQ(c.tokens.size(), 8u) << "request " << c.id;
+  }
+  EXPECT_GT(sched.stats().deferred_admissions, 0u);
+  EXPECT_EQ(pool->free_pages(), total_pages);
+}
+
 TEST(SchedulerLifecycle, QueuedCancelConsumesQueueWaitStamp) {
   obs::metrics_start();
   auto m = make_engine();
